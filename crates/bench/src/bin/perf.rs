@@ -17,28 +17,34 @@
 //! * `--baseline <path>` — committed baseline to gate against; when the
 //!   file is missing the gate is skipped with a warning, when any
 //!   workload's best wall time regresses more than the tolerance the
-//!   process exits non-zero (that is the CI perf gate);
-//! * `--tolerance <pct>` — regression tolerance in percent (default 15);
-//! * `--warmup <n>` / `--iters <n>` — iteration counts (default 1 / 3).
+//!   process exits non-zero (that is the CI perf gate).
+//!
+//! Each workload runs `WARMUP` untimed and `ITERS` timed iterations;
+//! the gate's tolerance is `timing::DEFAULT_TOLERANCE` (+15%).
 
-use rangeamp::chaos::ChaosConfig;
+use rangeamp::chaos::{run_sbr_campaign, ChaosConfig};
 use rangeamp::executor::Executor;
+use rangeamp::scanner::Scanner;
 use rangeamp::Telemetry;
-use rangeamp_bench::timing::{check_against_baseline, time_workload, PerfReport};
-use rangeamp_bench::{
-    arg_value, obr_sweep_points, retry_amp_reports_exec, sbr_points_exec, scanner,
-    table5_measurements_exec, write_output,
+use rangeamp_bench::timing::{
+    check_against_baseline, time_workload, PerfReport, DEFAULT_TOLERANCE,
 };
+use rangeamp_bench::{arg_value, obr_sweep_points, sbr_points, table5_measurements, write_output};
+
+/// Untimed warm-up iterations per workload.
+const WARMUP: u32 = 1;
+/// Timed iterations per workload; the gate compares the fastest.
+const ITERS: u32 = 3;
 
 /// Table I–V sweep: scanner tables plus the SBR (1 MB) and OBR
 /// amplification measurements.
 fn table_sweep(executor: &Executor) -> (u64, u64) {
-    let scan = scanner();
-    let t1 = scan.scan_table1_exec(executor);
-    let t2 = scan.scan_table2_exec(executor);
-    let t3 = scan.scan_table3_exec(executor);
-    let t4 = sbr_points_exec(&[1], executor);
-    let t5 = table5_measurements_exec(executor);
+    let scan = Scanner::default();
+    let t1 = scan.scan_table1(executor);
+    let t2 = scan.scan_table2(executor);
+    let t3 = scan.scan_table3(executor);
+    let t4 = sbr_points(&[1], executor);
+    let t5 = table5_measurements(executor);
     let units = (t1.len() + t2.len() + t3.len() + t4.len() + t5.len()) as u64;
     let bytes: u64 = t4
         .iter()
@@ -68,7 +74,7 @@ fn perf_chaos_config() -> ChaosConfig {
 
 /// SBR chaos campaign across all 13 vendors, untraced.
 fn chaos_campaign(executor: &Executor) -> (u64, u64) {
-    let reports = retry_amp_reports_exec(&perf_chaos_config(), None, executor);
+    let reports = run_sbr_campaign(&perf_chaos_config(), None, executor);
     let bytes = reports
         .iter()
         .map(|r| r.origin.request_bytes + r.origin.response_bytes)
@@ -80,7 +86,7 @@ fn chaos_campaign(executor: &Executor) -> (u64, u64) {
 /// the telemetry hot path. "Wire bytes" here are the exported bytes.
 fn telemetry_export(executor: &Executor) -> (u64, u64) {
     let telemetry = Telemetry::seeded(7);
-    let reports = retry_amp_reports_exec(&perf_chaos_config(), Some(&telemetry), executor);
+    let reports = run_sbr_campaign(&perf_chaos_config(), Some(&telemetry), executor);
     let trace = telemetry.tracer().chrome_trace_json();
     let metrics = telemetry.metrics().snapshot().to_jsonl();
     let units = reports.len() as u64 + telemetry.tracer().span_count() as u64;
@@ -116,15 +122,6 @@ fn main() {
     let threads = parse_threads(arg_value("--threads"));
     let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_campaigns.json".to_string());
     let baseline_path = arg_value("--baseline");
-    let tolerance = arg_value("--tolerance")
-        .map(|raw| raw.parse::<f64>().expect("--tolerance takes a percentage") / 100.0)
-        .unwrap_or(rangeamp_bench::timing::DEFAULT_TOLERANCE);
-    let warmup: u32 = arg_value("--warmup")
-        .map(|raw| raw.parse().expect("--warmup takes an integer"))
-        .unwrap_or(1);
-    let iters: u32 = arg_value("--iters")
-        .map(|raw| raw.parse().expect("--iters takes an integer"))
-        .unwrap_or(3);
 
     let workloads: &[(&str, Workload)] = &[
         ("table_sweep", table_sweep),
@@ -137,7 +134,7 @@ fn main() {
     for &count in &threads {
         let executor = Executor::new(count);
         for (name, run) in workloads {
-            let result = time_workload(name, &executor, warmup, iters, run);
+            let result = time_workload(name, &executor, WARMUP, ITERS, run);
             println!(
                 "{:>17} @{}t: {:>12} ns  {:>10.1} units/s  {:>14.0} wire-B/s",
                 result.name,
@@ -167,7 +164,7 @@ fn main() {
             Err(err) => {
                 eprintln!("warning: baseline {path} not readable ({err}); perf gate skipped");
             }
-            Ok(text) => match check_against_baseline(&report, &text, tolerance) {
+            Ok(text) => match check_against_baseline(&report, &text, DEFAULT_TOLERANCE) {
                 None => {
                     eprintln!("warning: baseline {path} is not a perf report; perf gate skipped");
                 }
@@ -181,7 +178,10 @@ fn main() {
                         }
                         std::process::exit(1);
                     }
-                    println!("perf gate: ok (tolerance +{:.0}%)", tolerance * 100.0);
+                    println!(
+                        "perf gate: ok (tolerance +{:.0}%)",
+                        DEFAULT_TOLERANCE * 100.0
+                    );
                 }
             },
         }

@@ -10,7 +10,7 @@
 
 fn main() {
     let cli = rangeamp_bench::BenchCli::parse();
-    let rows = rangeamp_bench::scanner().scan_table1_exec(&cli.executor());
+    let rows = rangeamp::scanner::Scanner::default().scan_table1(&cli.executor());
     println!("{}", rangeamp_bench::render_table1(&rows));
     println!(
         "{} vulnerable (vendor, format) rows across {} vendors — the paper finds all 13 CDNs vulnerable.",

@@ -10,7 +10,7 @@
 
 fn main() {
     let cli = rangeamp_bench::BenchCli::parse();
-    let rows = rangeamp_bench::scanner().scan_table3_exec(&cli.executor());
+    let rows = rangeamp::scanner::Scanner::default().scan_table3(&cli.executor());
     println!("{}", rangeamp_bench::render_table3(&rows));
     println!(
         "{} BCDN-eligible vendors — the paper finds 3 (Akamai, Azure, StackPath).",

@@ -5,6 +5,10 @@
 //! --bin table4`, etc.). The drivers are also reused by the Criterion
 //! benches and by the `all` binary, which writes machine-readable JSON
 //! into `experiments/`.
+//!
+//! Every sweep function takes the [`Executor`] to shard on; pass
+//! `Executor::sequential()` to run on the calling thread. Output is
+//! byte-identical at any thread count (DESIGN.md §8).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,15 +20,15 @@ use rangeamp::attack::{
     obr_combos, DroppedGetAttack, FloodExperiment, FloodReport, ObrAttack, ObrMeasurement,
     SbrAttack,
 };
-use rangeamp::chaos::{run_sbr_campaign, run_sbr_campaign_exec, ChaosConfig, VendorChaosReport};
-use rangeamp::defense_eval::{run_defense_eval, DefenseEvalConfig, DefenseScenarioReport};
+use rangeamp::chaos::VendorChaosReport;
+use rangeamp::defense_eval::DefenseScenarioReport;
 use rangeamp::executor::Executor;
-use rangeamp::mitigation::{evaluate_obr_defenses, evaluate_sbr_defenses, DefenseOutcome};
+use rangeamp::mitigation::{evaluate_sbr_defenses, DefenseOutcome};
 use rangeamp::report::{group_digits, TextTable};
-use rangeamp::scanner::{Scanner, Table1Row, Table2Row, Table3Row};
+use rangeamp::scanner::{Table1Row, Table2Row, Table3Row};
 use rangeamp::severity::{project_cost, AttackCost, BillingModel, CostModel};
 use rangeamp::workload::{evaluate_detector, TinyRangeDetector, WorkloadGenerator};
-use rangeamp::{Telemetry, Testbed, TARGET_PATH};
+use rangeamp::{Testbed, TARGET_PATH};
 use rangeamp_cdn::Vendor;
 use rangeamp_origin::ResourceStore;
 use serde::Serialize;
@@ -50,16 +54,11 @@ pub struct SbrPoint {
 }
 
 /// Runs the SBR attack for every vendor at the given sizes (Table IV
-/// uses {1, 10, 25} MB; Fig 6 sweeps 1..=25 MB).
-pub fn sbr_points(sizes_mb: &[u64]) -> Vec<SbrPoint> {
-    sbr_points_exec(sizes_mb, &Executor::sequential())
-}
-
-/// [`sbr_points`] sharded over a deterministic executor. Each size is
-/// one unit (the 13 vendor testbeds of a size share one synthetic
+/// uses {1, 10, 25} MB; Fig 6 sweeps 1..=25 MB). Each size is one
+/// executor unit (the 13 vendor testbeds of a size share one synthetic
 /// resource store), and points concatenate in input-size order — output
 /// is byte-identical at any thread count.
-pub fn sbr_points_exec(sizes_mb: &[u64], executor: &Executor) -> Vec<SbrPoint> {
+pub fn sbr_points(sizes_mb: &[u64], executor: &Executor) -> Vec<SbrPoint> {
     executor
         .map(0, sizes_mb.to_vec(), |_, size_mb| {
             let size = size_mb * MB;
@@ -143,14 +142,10 @@ pub fn render_table4(points: &[SbrPoint]) -> TextTable {
     table
 }
 
-/// Runs the Table V experiment: OBR with max n over all 11 combos.
-pub fn table5_measurements() -> Vec<ObrMeasurement> {
-    table5_measurements_exec(&Executor::sequential())
-}
-
-/// [`table5_measurements`] with each FCDN → BCDN cascade as one
-/// executor unit, merged back in [`obr_combos`] order.
-pub fn table5_measurements_exec(executor: &Executor) -> Vec<ObrMeasurement> {
+/// Runs the Table V experiment: OBR with max n over all 11 combos, each
+/// FCDN → BCDN cascade as one executor unit, merged back in
+/// [`obr_combos`] order.
+pub fn table5_measurements(executor: &Executor) -> Vec<ObrMeasurement> {
     executor.map(0, obr_combos(), |_, (fcdn, bcdn)| {
         ObrAttack::new(fcdn, bcdn).run()
     })
@@ -261,14 +256,9 @@ pub fn render_table5(measurements: &[ObrMeasurement]) -> TextTable {
     table
 }
 
-/// Runs Fig 7 for m = 1..=15.
-pub fn fig7_reports() -> Vec<FloodReport> {
-    fig7_reports_exec(&Executor::sequential())
-}
-
-/// [`fig7_reports`] with each attack rate m as one executor unit,
+/// Runs Fig 7 for m = 1..=15, each attack rate m as one executor unit,
 /// merged back in ascending-m order.
-pub fn fig7_reports_exec(executor: &Executor) -> Vec<FloodReport> {
+pub fn fig7_reports(executor: &Executor) -> Vec<FloodReport> {
     executor.map(0, (1..=15).collect(), |_, m| {
         FloodExperiment::paper_config(m).run()
     })
@@ -340,33 +330,6 @@ pub fn render_table3(rows: &[Table3Row]) -> TextTable {
         ]);
     }
     table
-}
-
-/// The default scanner used by the harness binaries.
-pub fn scanner() -> Scanner {
-    Scanner::default()
-}
-
-/// Runs the default SBR chaos campaign (flaky origin, every vendor).
-pub fn retry_amp_reports() -> Vec<VendorChaosReport> {
-    run_sbr_campaign(&ChaosConfig::default())
-}
-
-/// [`retry_amp_reports`] with an optional telemetry bundle: every round
-/// of every vendor's run is traced, and the campaign publishes its
-/// per-vendor gauges/counters into the bundle's metrics registry.
-pub fn retry_amp_reports_with(telemetry: Option<&Telemetry>) -> Vec<VendorChaosReport> {
-    retry_amp_reports_exec(&ChaosConfig::default(), telemetry, &Executor::sequential())
-}
-
-/// [`retry_amp_reports_with`] sharded over a deterministic executor
-/// with an explicit campaign configuration.
-pub fn retry_amp_reports_exec(
-    config: &ChaosConfig,
-    telemetry: Option<&Telemetry>,
-    executor: &Executor,
-) -> Vec<VendorChaosReport> {
-    run_sbr_campaign_exec(config, telemetry, executor)
 }
 
 /// Renders the per-vendor retry-amplification table: how much extra
@@ -441,17 +404,6 @@ pub fn retry_amp_json(reports: &[VendorChaosReport]) -> serde_json::Value {
     )
 }
 
-/// Runs the online-defense evaluation campaign (DESIGN.md §12): all 24
-/// scenarios (13 Table IV SBR vendors + 11 Table V OBR cascades), each
-/// replayed undefended and defended as one executor unit.
-pub fn defense_eval_reports_exec(
-    config: &DefenseEvalConfig,
-    executor: &Executor,
-    seed: u64,
-) -> Vec<DefenseScenarioReport> {
-    run_defense_eval(config, executor, seed)
-}
-
 /// Renders the defense evaluation table: detection quality, enforcement
 /// ladder outcome, and victim-link traffic with/without the layer.
 pub fn render_defense_eval(reports: &[DefenseScenarioReport]) -> TextTable {
@@ -506,7 +458,7 @@ pub struct DetectabilityPoint {
 /// Sweeps the naive tiny-range detector over a mixed 2000 + 2000 stream
 /// (10 MB resource). Each threshold is one executor unit regenerating
 /// the same seeded stream, so points are thread-count invariant.
-pub fn detectability_points_exec(seed: u64, executor: &Executor) -> Vec<DetectabilityPoint> {
+pub fn detectability_points(seed: u64, executor: &Executor) -> Vec<DetectabilityPoint> {
     const SIZE: u64 = 10 * MB;
     let thresholds: Vec<u64> = vec![1, 16, 64, 256, 1024, 65_536];
     executor.map(seed, thresholds, |_, threshold| {
@@ -538,7 +490,7 @@ pub struct MitigationRow {
 
 /// Runs the SBR mitigation ablation for `vendors`; one vendor per
 /// executor unit.
-pub fn sbr_mitigation_rows_exec(
+pub fn sbr_mitigation_rows(
     vendors: &[Vendor],
     resource_size: u64,
     executor: &Executor,
@@ -547,11 +499,6 @@ pub fn sbr_mitigation_rows_exec(
         vendor: vendor.name().to_string(),
         outcomes: evaluate_sbr_defenses(vendor, resource_size),
     })
-}
-
-/// The OBR mitigation ablation (single cascade, one unit).
-pub fn obr_mitigation_outcomes(fcdn: Vendor, bcdn: Vendor, n: usize) -> Vec<DefenseOutcome> {
-    evaluate_obr_defenses(fcdn, bcdn, n)
 }
 
 /// One row of the §V-E severity table.
@@ -565,7 +512,7 @@ pub struct SeverityRow {
 
 /// Projects §V-E costs for every vendor (25 MB resource, one vendor per
 /// executor unit).
-pub fn severity_rows_exec(
+pub fn severity_rows(
     rate: u32,
     hours: f64,
     model: &CostModel,
@@ -601,7 +548,7 @@ pub struct DroppedGetRow {
 }
 
 /// Runs the §VIII comparison for every vendor; one vendor per unit.
-pub fn dropped_get_rows_exec(resource_size: u64, executor: &Executor) -> Vec<DroppedGetRow> {
+pub fn dropped_get_rows(resource_size: u64, executor: &Executor) -> Vec<DroppedGetRow> {
     executor.map(0, Vendor::ALL.to_vec(), |_, vendor| {
         let dropped = DroppedGetAttack::new(vendor, resource_size).run();
         let sbr = SbrAttack::new(vendor, resource_size).run();
@@ -628,7 +575,7 @@ pub struct H2Row {
 
 /// Runs the HTTP/2 framing comparison (10 MB resource); one vendor per
 /// executor unit.
-pub fn h2_rows_exec(executor: &Executor) -> Vec<H2Row> {
+pub fn h2_rows(executor: &Executor) -> Vec<H2Row> {
     executor.map(0, Vendor::ALL.to_vec(), |_, vendor| {
         let report = SbrAttack::new(vendor, 10 * MB).run();
         H2Row {
@@ -687,8 +634,7 @@ impl BenchCli {
     /// byte-identical.
     pub fn write_json<T: Serialize>(&self, value: &T) {
         if let Some(path) = &self.json {
-            let json = serde_json::to_string_pretty(value).expect("serializable");
-            write_output(path, &json);
+            write_json(path, value);
         }
     }
 }
@@ -710,6 +656,12 @@ pub fn arg_value(flag: &str) -> Option<String> {
     None
 }
 
+/// Writes `value` to `path` as pretty JSON (see [`write_output`]).
+pub fn write_json<T: Serialize>(path: &str, value: &T) {
+    let json = serde_json::to_string_pretty(value).expect("serializable");
+    write_output(path, &json);
+}
+
 /// Writes `contents` to `path` verbatim, creating parent directories as
 /// needed, and notes the write on stderr (stdout stays reserved for the
 /// deterministic experiment text).
@@ -724,23 +676,13 @@ pub fn write_output(path: &str, contents: &str) {
     eprintln!("wrote {}", path.display());
 }
 
-/// If the command line carries `--json <path>`, serialises `value` as
-/// pretty-printed JSON to that path. The printed text output is
-/// unaffected, so existing golden outputs stay byte-identical.
-pub fn maybe_write_json<T: Serialize>(value: &T) {
-    if let Some(path) = arg_value("--json") {
-        let json = serde_json::to_string_pretty(value).expect("serializable");
-        write_output(&path, &json);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sbr_points_cover_all_vendors() {
-        let points = sbr_points(&[1]);
+        let points = sbr_points(&[1], &Executor::sequential());
         assert_eq!(points.len(), 13);
         for point in &points {
             assert!(point.amplification_factor > 100.0, "{point:?}");
@@ -749,14 +691,14 @@ mod tests {
 
     #[test]
     fn table4_renders_13_rows() {
-        let points = sbr_points(&[1]);
+        let points = sbr_points(&[1], &Executor::sequential());
         let table = render_table4(&points);
         assert_eq!(table.len(), 13);
     }
 
     #[test]
     fn table5_has_11_rows() {
-        let measurements = table5_measurements();
+        let measurements = table5_measurements(&Executor::sequential());
         assert_eq!(measurements.len(), 11);
         let table = render_table5(&measurements);
         assert_eq!(table.len(), 11);

@@ -15,6 +15,7 @@
 use std::process::ExitCode;
 
 use rangeamp::attack::{DroppedGetAttack, FloodExperiment, ObrAttack, SbrAttack};
+use rangeamp::executor::Executor;
 use rangeamp::report::TextTable;
 use rangeamp::scanner::Scanner;
 use rangeamp::Testbed;
@@ -153,7 +154,7 @@ fn cmd_scan(args: &[String]) -> Result<(), String> {
     let scanner = Scanner::default();
     let rows = match flag(args, "--cdn") {
         Some(raw) => scanner.scan_vendor_table1(parse_vendor(&raw)?),
-        None => scanner.scan_table1(),
+        None => scanner.scan_table1(&Executor::sequential()),
     };
     let mut table = TextTable::new(
         "SBR-vulnerable range forwarding behaviours",

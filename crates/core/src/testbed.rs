@@ -365,45 +365,21 @@ impl CascadeTestbed {
     /// Wires `fcdn` in front of `bcdn` over a 1 KB target resource, the
     /// Table V configuration.
     pub fn new(fcdn: Vendor, bcdn: Vendor) -> CascadeTestbed {
-        CascadeTestbed::with_resource(fcdn, bcdn, 1024)
+        CascadeTestbed::with_profiles(fcdn.fcdn_profile(), bcdn.profile(), 1024)
     }
 
-    /// Same, with an explicit resource size.
-    pub fn with_resource(fcdn: Vendor, bcdn: Vendor, size: u64) -> CascadeTestbed {
-        CascadeTestbed::with_profiles(fcdn.fcdn_profile(), bcdn.profile(), size)
-    }
-
-    /// Full control over both profiles (mitigation ablations).
+    /// Full control over both profiles and the resource size
+    /// (mitigation ablations).
     pub fn with_profiles(
         fcdn_profile: VendorProfile,
         bcdn_profile: VendorProfile,
         size: u64,
     ) -> CascadeTestbed {
-        CascadeTestbed::with_profiles_telemetry(fcdn_profile, bcdn_profile, size, None)
-    }
-
-    /// [`CascadeTestbed::with_profiles`] with an optional telemetry
-    /// bundle shared by both edges and the origin. The BCDN sits behind
-    /// an `Arc`, so telemetry must be injected at construction time —
-    /// it cannot be attached to a built cascade.
-    pub fn with_profiles_telemetry(
-        fcdn_profile: VendorProfile,
-        bcdn_profile: VendorProfile,
-        size: u64,
-        telemetry: Option<Telemetry>,
-    ) -> CascadeTestbed {
-        let origin = Arc::new(CascadeTestbed::cascade_origin(size, telemetry.as_ref()));
+        let origin = Arc::new(CascadeTestbed::cascade_origin(size, None));
         let bcdn_segment = Segment::new(SegmentName::BcdnOrigin);
-        let mut bcdn = EdgeNode::new(bcdn_profile, origin.clone(), bcdn_segment);
-        if let Some(tel) = &telemetry {
-            bcdn = bcdn.with_telemetry(tel.clone());
-        }
-        let bcdn_node = Arc::new(bcdn);
+        let bcdn_node = Arc::new(EdgeNode::new(bcdn_profile, origin.clone(), bcdn_segment));
         let fcdn_segment = Segment::new(SegmentName::FcdnBcdn);
-        let mut fcdn = EdgeNode::new(fcdn_profile, bcdn_node.clone(), fcdn_segment);
-        if let Some(tel) = &telemetry {
-            fcdn = fcdn.with_telemetry(tel.clone());
-        }
+        let fcdn = EdgeNode::new(fcdn_profile, bcdn_node.clone(), fcdn_segment);
         CascadeTestbed::assemble(fcdn, bcdn_node, origin)
     }
 
@@ -439,18 +415,12 @@ impl CascadeTestbed {
     /// edges run their vendor retry policies and circuit breakers on one
     /// shared virtual clock, so an FCDN retrying into a broken BCDN is
     /// observable end to end (retry amplification across the cascade).
+    ///
+    /// A telemetry bundle, when given, is shared by both edges and the
+    /// origin. The BCDN sits behind an `Arc`, so telemetry must be
+    /// injected at construction time — it cannot be attached to a built
+    /// cascade.
     pub fn with_chaos(
-        fcdn_profile: VendorProfile,
-        bcdn_profile: VendorProfile,
-        size: u64,
-        plan: FaultPlan,
-        breaker: BreakerConfig,
-    ) -> CascadeTestbed {
-        CascadeTestbed::with_chaos_telemetry(fcdn_profile, bcdn_profile, size, plan, breaker, None)
-    }
-
-    /// [`CascadeTestbed::with_chaos`] with an optional telemetry bundle.
-    pub fn with_chaos_telemetry(
         fcdn_profile: VendorProfile,
         bcdn_profile: VendorProfile,
         size: u64,

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use rangeamp::chaos::{run_sbr_campaign_exec, ChaosConfig};
+use rangeamp::chaos::{run_obr_campaign, run_sbr_campaign, ChaosConfig};
 use rangeamp::executor::{merge_shard_results, splitmix64, unit_seed, Executor};
 use rangeamp::Telemetry;
 
@@ -101,9 +101,10 @@ proptest! {
     // Full campaigns are heavier; fewer cases keep the suite fast.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// End to end: an SBR chaos campaign's reports, metrics snapshot and
-    /// Chrome trace are all byte-identical whether it runs on one shard
-    /// or many — for arbitrary campaign seeds, not just the goldens.
+    /// End to end: the SBR and OBR chaos campaigns' reports, metrics
+    /// snapshot and Chrome trace are all byte-identical whether they run
+    /// on one shard or many — for arbitrary campaign seeds, not just the
+    /// goldens.
     #[test]
     fn campaign_report_and_telemetry_are_thread_count_invariant(
         seed in any::<u64>(),
@@ -117,17 +118,20 @@ proptest! {
 
         let digest = |executor: &Executor| {
             let telemetry = Telemetry::seeded(config.seed);
-            let reports = run_sbr_campaign_exec(&config, Some(&telemetry), executor);
+            let sbr = run_sbr_campaign(&config, Some(&telemetry), executor);
+            let obr = run_obr_campaign(&config, Some(&telemetry), executor);
             (
-                format!("{reports:?}"),
+                format!("{sbr:?}"),
+                format!("{obr:?}"),
                 telemetry.metrics().snapshot().render(),
                 telemetry.tracer().chrome_trace_json(),
             )
         };
 
-        let (reports_1, metrics_1, trace_1) = digest(&Executor::sequential());
-        let (reports_n, metrics_n, trace_n) = digest(&Executor::new(threads));
-        prop_assert_eq!(reports_1, reports_n);
+        let (sbr_1, obr_1, metrics_1, trace_1) = digest(&Executor::sequential());
+        let (sbr_n, obr_n, metrics_n, trace_n) = digest(&Executor::new(threads));
+        prop_assert_eq!(sbr_1, sbr_n);
+        prop_assert_eq!(obr_1, obr_n);
         prop_assert_eq!(metrics_1, metrics_n);
         prop_assert_eq!(trace_1, trace_n);
     }
