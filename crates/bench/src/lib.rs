@@ -30,7 +30,6 @@ use rangeamp::severity::{project_cost, AttackCost, BillingModel, CostModel};
 use rangeamp::workload::{evaluate_detector, TinyRangeDetector, WorkloadGenerator};
 use rangeamp::{Testbed, TARGET_PATH};
 use rangeamp_cdn::Vendor;
-use rangeamp_origin::ResourceStore;
 use serde::Serialize;
 
 /// One MiB.
@@ -55,22 +54,18 @@ pub struct SbrPoint {
 
 /// Runs the SBR attack for every vendor at the given sizes (Table IV
 /// uses {1, 10, 25} MB; Fig 6 sweeps 1..=25 MB). Each size is one
-/// executor unit (the 13 vendor testbeds of a size share one synthetic
-/// resource store), and points concatenate in input-size order — output
+/// executor unit, and points concatenate in input-size order — output
 /// is byte-identical at any thread count.
 pub fn sbr_points(sizes_mb: &[u64], executor: &Executor) -> Vec<SbrPoint> {
     executor
         .map(0, sizes_mb.to_vec(), |_, size_mb| {
             let size = size_mb * MB;
-            // Share the synthetic resource across the 13 vendor testbeds.
-            let mut store = ResourceStore::new();
-            store.add_synthetic(TARGET_PATH, size, "application/octet-stream");
             let mut points = Vec::with_capacity(Vendor::ALL.len());
             for vendor in Vendor::ALL {
                 let attack = SbrAttack::new(vendor, size);
                 let bed = Testbed::builder()
                     .vendor(vendor)
-                    .store(store.clone())
+                    .resource(TARGET_PATH, size)
                     .build();
                 let report = attack.run_on(&bed, size_mb);
                 points.push(SbrPoint {

@@ -327,6 +327,20 @@ fn drive_schedule(
     seed: u64,
     generator: &mut WorkloadGenerator,
 ) -> (u64, u64, u64) {
+    // One attack round's Range headers depend only on the scenario, so the
+    // OBR header-limit solve runs once here rather than once per round.
+    let attack_ranges: Vec<String> = match scenario {
+        DefenseScenario::Sbr(vendor) => exploited_range_case(vendor, config.sbr_resource_size)
+            .ranges
+            .iter()
+            .map(ToString::to_string)
+            .collect(),
+        DefenseScenario::Obr(fcdn, bcdn) => {
+            let attack = ObrAttack::new(fcdn, bcdn);
+            let n = config.obr_ranges.min(attack.max_n()).max(2);
+            vec![attack.range_case().header(n).to_string()]
+        }
+    };
     let mut attack_requests = 0u64;
     let mut benign_requests = 0u64;
     for event in build_schedule(config) {
@@ -339,35 +353,19 @@ fn drive_schedule(
                 bed.request(&labeled.request);
                 benign_requests += 1;
             }
-            EventKind::AttackRound(round) => match scenario {
-                DefenseScenario::Sbr(vendor) => {
-                    let case = exploited_range_case(vendor, config.sbr_resource_size);
-                    let rnd = splitmix64(seed ^ round.wrapping_mul(0x9E37));
-                    let uri = format!("{TARGET_PATH}?rnd={rnd:016x}");
-                    for range in &case.ranges {
-                        let req = Request::get(&uri)
-                            .header("Host", TARGET_HOST)
-                            .header("X-Client-Id", ATTACKER_ID)
-                            .header("Range", range.to_string())
-                            .build();
-                        bed.attack_request(&req);
-                        attack_requests += 1;
-                    }
-                }
-                DefenseScenario::Obr(fcdn, bcdn) => {
-                    let attack = ObrAttack::new(fcdn, bcdn);
-                    let n = config.obr_ranges.min(attack.max_n()).max(2);
-                    let rnd = splitmix64(seed ^ round.wrapping_mul(0x9E37));
-                    let uri = format!("{TARGET_PATH}?rnd={rnd:016x}");
+            EventKind::AttackRound(round) => {
+                let rnd = splitmix64(seed ^ round.wrapping_mul(0x9E37));
+                let uri = format!("{TARGET_PATH}?rnd={rnd:016x}");
+                for range in &attack_ranges {
                     let req = Request::get(&uri)
                         .header("Host", TARGET_HOST)
                         .header("X-Client-Id", ATTACKER_ID)
-                        .header("Range", attack.range_case().header(n).to_string())
+                        .header("Range", range.as_str())
                         .build();
                     bed.attack_request(&req);
                     attack_requests += 1;
                 }
-            },
+            }
         }
     }
     (attack_requests, benign_requests, bed.victim_bytes())

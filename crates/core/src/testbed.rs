@@ -181,7 +181,6 @@ pub struct TestbedBuilder {
     profile: VendorProfile,
     resources: Vec<(String, u64, &'static str)>,
     origin_config: OriginConfig,
-    prebuilt_store: Option<ResourceStore>,
     fault_plan: Option<Arc<FaultPlan>>,
     breaker: Option<BreakerConfig>,
     cache_ttl_ms: Option<u64>,
@@ -199,7 +198,6 @@ impl Default for TestbedBuilder {
                 "application/octet-stream",
             )],
             origin_config: OriginConfig::apache_default(),
-            prebuilt_store: None,
             fault_plan: None,
             breaker: None,
             cache_ttl_ms: None,
@@ -238,13 +236,6 @@ impl TestbedBuilder {
     /// Overrides the origin configuration (e.g. ranges disabled).
     pub fn origin_config(mut self, config: OriginConfig) -> TestbedBuilder {
         self.origin_config = config;
-        self
-    }
-
-    /// Uses a pre-built resource store (shares synthetic content across
-    /// testbeds — resource bodies are reference-counted).
-    pub fn store(mut self, store: ResourceStore) -> TestbedBuilder {
-        self.prebuilt_store = Some(store);
         self
     }
 
@@ -290,16 +281,10 @@ impl TestbedBuilder {
 
     /// Wires everything together.
     pub fn build(self) -> Testbed {
-        let store = match self.prebuilt_store {
-            Some(store) => store,
-            None => {
-                let mut store = ResourceStore::new();
-                for (path, size, ct) in &self.resources {
-                    store.add_synthetic(path, *size, ct);
-                }
-                store
-            }
-        };
+        let mut store = ResourceStore::new();
+        for (path, size, ct) in &self.resources {
+            store.add_synthetic(path, *size, ct);
+        }
         let mut origin_server = OriginServer::with_config(store, self.origin_config);
         if let Some(tel) = &self.telemetry {
             origin_server = origin_server.with_telemetry(tel.clone());

@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use bytes::Bytes;
 use rangeamp_http::Body;
@@ -32,14 +33,12 @@ impl Resource {
 
     /// Creates a `size`-byte resource with deterministic synthetic
     /// content.
+    ///
+    /// The content is a zero-copy prefix of a process-wide buffer shared
+    /// by every path whose hash has the same low byte, so building a
+    /// resource costs no fill once a buffer of that size exists.
     pub fn synthetic(path: &str, size: u64, content_type: &str) -> Resource {
-        let seed = fnv1a(path.as_bytes());
-        let mut content = Vec::with_capacity(size as usize);
-        // A 256-byte pattern keyed on the path: cheap to generate, and any
-        // mis-sliced range is overwhelmingly likely to be detected.
-        for i in 0..size {
-            content.push((seed ^ i) as u8);
-        }
+        let content = pattern_prefix(fnv1a(path.as_bytes()) as u8, size as usize);
         Resource::new(path, content_type, content)
     }
 
@@ -97,6 +96,30 @@ impl fmt::Debug for Resource {
             .field("content_type", &self.content_type)
             .field("len", &self.content.len())
             .finish()
+    }
+}
+
+/// One grow-only buffer per low seed byte `s`, holding `s ^ i as u8` at
+/// offset `i`: a 256-byte pattern keyed on the path, cheap to generate,
+/// and any mis-sliced range is overwhelmingly likely to be detected.
+static PATTERNS: Mutex<[Option<Bytes>; 256]> = Mutex::new([const { None }; 256]);
+
+/// The first `size` bytes of the pattern for `seed`, growing its buffer
+/// when it is shorter than `size`.
+fn pattern_prefix(seed: u8, size: usize) -> Bytes {
+    let mut patterns = PATTERNS.lock().unwrap_or_else(PoisonError::into_inner);
+    let slot = &mut patterns[seed as usize];
+    match slot {
+        Some(buffer) if buffer.len() >= size => buffer.slice(..size),
+        _ => {
+            // Release the shorter buffer before filling its successor;
+            // resources still holding it keep it alive.
+            *slot = None;
+            let data: Arc<[u8]> = (0..size).map(|i| seed ^ i as u8).collect();
+            let buffer = Bytes::from(data);
+            *slot = Some(buffer.clone());
+            buffer
+        }
     }
 }
 
@@ -208,6 +231,66 @@ mod tests {
         store.add_synthetic("/a.bin", 200, "x/y");
         assert_eq!(store.get("/a.bin").unwrap().len(), 200);
         assert_eq!(store.len(), 1);
+    }
+
+    fn assert_pattern(path: &str, r: &Resource) {
+        let seed = fnv1a(path.as_bytes());
+        let body = r.full_body();
+        let bytes = body.as_bytes();
+        for i in [0, 255, 256, bytes.len() - 1] {
+            assert_eq!(
+                bytes[i],
+                (seed ^ i as u64) as u8,
+                "byte {i} of {}",
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn growing_the_shared_buffer_keeps_every_prefix_intact() {
+        let path = "/grow-shared.bin";
+        let small = Resource::synthetic(path, 1024, "x/y");
+        let before = small.full_body().as_bytes().to_vec();
+        let large = Resource::synthetic(path, 1 << 20, "x/y");
+        let again = Resource::synthetic(path, 1024, "x/y");
+        for r in [&small, &large, &again] {
+            assert_pattern(path, r);
+        }
+        assert_eq!(large.len(), 1 << 20);
+        assert_eq!(small.full_body().as_bytes(), &before[..]);
+        assert_eq!(again.full_body().as_bytes(), &before[..]);
+        assert_eq!(small.etag(), again.etag());
+    }
+
+    #[test]
+    fn zero_size_synthetic_is_empty() {
+        let r = Resource::synthetic("/empty.bin", 0, "x/y");
+        assert!(r.is_empty());
+        assert_eq!(r.full_body().len(), 0);
+    }
+
+    #[test]
+    fn concurrent_builds_of_interleaved_sizes_see_the_pattern() {
+        const SIZES: [u64; 6] = [1, 255, 4096, 1 << 20, 300, 4 << 20];
+        let paths = ["/concurrent-a.bin", "/concurrent-b.bin"];
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                scope.spawn(move || {
+                    for k in 0..SIZES.len() {
+                        let size = SIZES[(t + k) % SIZES.len()];
+                        let path = paths[(t + k) % paths.len()];
+                        let r = Resource::synthetic(path, size, "x/y");
+                        let seed = fnv1a(path.as_bytes());
+                        let body = r.full_body();
+                        assert_eq!(body.len(), size);
+                        for (i, &b) in body.as_bytes().iter().enumerate() {
+                            assert_eq!(b, (seed ^ i as u64) as u8, "{path} byte {i} of {size}");
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]
