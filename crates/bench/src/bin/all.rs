@@ -14,7 +14,7 @@ use rangeamp::scanner::Scanner;
 use rangeamp_bench::{write_json, BenchCli, MB};
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(&[]);
     let executor = cli.executor();
 
     eprintln!("== scanner (Tables I–III) ==");

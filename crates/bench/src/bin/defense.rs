@@ -15,7 +15,7 @@ use rangeamp::defense_eval::{run_defense_eval, DefenseEvalConfig};
 use rangeamp_bench::BenchCli;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(&[]);
     let config = DefenseEvalConfig::default();
     let seed = cli.seed.unwrap_or(2020);
     let reports = run_defense_eval(&config, &cli.executor(), seed);

@@ -15,7 +15,7 @@ use rangeamp::report::TextTable;
 use rangeamp_bench::BenchCli;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(&[]);
     let seed = cli.seed.unwrap_or(2020);
     let points = rangeamp_bench::detectability_points(seed, &cli.executor());
 

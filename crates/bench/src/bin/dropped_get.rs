@@ -13,7 +13,7 @@ use rangeamp::report::TextTable;
 use rangeamp_bench::BenchCli;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(&[]);
     const MB: u64 = 1024 * 1024;
     let rows = rangeamp_bench::dropped_get_rows(10 * MB, &cli.executor());
 

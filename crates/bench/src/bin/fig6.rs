@@ -35,7 +35,7 @@ fn print_csv(title: &str, points: &[SbrPoint], value: impl Fn(&SbrPoint) -> Stri
 }
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(&[]);
     let sizes: Vec<u64> = (1..=25).collect();
     let points = sbr_points(&sizes, &cli.executor());
 

@@ -11,7 +11,7 @@
 //! ```
 
 fn main() {
-    let cli = rangeamp_bench::BenchCli::parse();
+    let cli = rangeamp_bench::BenchCli::parse(&[]);
     let reports = rangeamp_bench::fig7_reports(&cli.executor());
     println!("{}", rangeamp_bench::render_fig7_summary(&reports));
 

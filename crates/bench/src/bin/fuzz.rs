@@ -20,18 +20,16 @@
 use std::path::Path;
 
 use rangeamp::conformance::{corpus, run_fuzz, CorpusEntry, FuzzConfig};
-use rangeamp_bench::{arg_value, BenchCli};
+use rangeamp_bench::BenchCli;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(&["--cases", "--corpus-dir"]);
     let config = FuzzConfig {
         seed: cli.seed.unwrap_or(42),
-        cases: arg_value("--cases")
-            .map(|raw| raw.parse().expect("--cases takes an integer"))
-            .unwrap_or(1000),
+        cases: cli.flags.parsed("--cases").unwrap_or(1000),
         ..FuzzConfig::default()
     };
-    let corpus_dir = arg_value("--corpus-dir").unwrap_or_else(|| "tests/corpus".to_string());
+    let corpus_dir = cli.flags.get("--corpus-dir").unwrap_or("tests/corpus");
 
     let report = run_fuzz(&config, &cli.executor());
 
@@ -63,7 +61,7 @@ fn main() {
             finding.minimized.to_text().replace('\n', " | ")
         );
         match corpus::write_finding(
-            Path::new(&corpus_dir),
+            Path::new(corpus_dir),
             &finding.violation,
             seq,
             &finding.minimized,

@@ -14,7 +14,7 @@ use rangeamp::report::TextTable;
 use rangeamp_bench::BenchCli;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(&[]);
     let rows = rangeamp_bench::h2_rows(&cli.executor());
 
     let mut table = TextTable::new(

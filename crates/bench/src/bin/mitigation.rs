@@ -15,7 +15,7 @@ use rangeamp_cdn::Vendor;
 use serde_json::json;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(&[]);
     let mb = 1024 * 1024;
     let vendors = [Vendor::Akamai, Vendor::Cloudflare, Vendor::CloudFront];
     let sbr_rows = rangeamp_bench::sbr_mitigation_rows(&vendors, 10 * mb, &cli.executor());

@@ -15,7 +15,7 @@ use rangeamp_bench::{obr_sweep_points, render_obr_sweep, BenchCli};
 use rangeamp_cdn::Vendor;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(&[]);
     let points = obr_sweep_points(&cli.executor());
     println!("{}", render_obr_sweep(&points));
     let max_n = ObrAttack::new(Vendor::Cloudflare, Vendor::Akamai).max_n();

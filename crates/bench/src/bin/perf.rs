@@ -1,6 +1,6 @@
 //! Benchmark harness for the campaign executor: times the
 //! representative workloads (table sweep, OBR sweep, chaos campaign,
-//! telemetry export) at each requested thread count and writes
+//! telemetry export, Fig 7 flood) at each requested thread count and writes
 //! `BENCH_campaigns.json` in the stable `rangeamp-bench-perf/1` schema
 //! (see `rangeamp_bench::timing`).
 //!
@@ -14,101 +14,36 @@
 //! * `--threads a,b,c` — thread counts to sweep (default `1,<cores>`);
 //! * `--out <path>` — where to write the JSON report (default
 //!   `BENCH_campaigns.json`);
-//! * `--baseline <path>` — committed baseline to gate against; when the
-//!   file is missing the gate is skipped with a warning, when any
-//!   workload's best wall time regresses more than the tolerance the
-//!   process exits non-zero (that is the CI perf gate).
+//! * `--baseline <path>` — committed baseline to gate against; the
+//!   process exits non-zero when the file cannot be read, is not a perf
+//!   report, or any workload's best wall time regresses more than the
+//!   tolerance (that is the CI perf gate).
 //!
 //! Each workload runs `WARMUP` untimed and `ITERS` timed iterations;
 //! the gate's tolerance is `timing::DEFAULT_TOLERANCE` (+15%).
 
-use rangeamp::chaos::{run_sbr_campaign, ChaosConfig};
 use rangeamp::executor::Executor;
-use rangeamp::scanner::Scanner;
-use rangeamp::Telemetry;
 use rangeamp_bench::timing::{
-    check_against_baseline, time_workload, PerfReport, DEFAULT_TOLERANCE,
+    gate_against_baseline, time_workload, PerfReport, DEFAULT_TOLERANCE, WORKLOADS,
 };
-use rangeamp_bench::{arg_value, obr_sweep_points, sbr_points, table5_measurements, write_output};
+use rangeamp_bench::{write_output, Flags};
 
 /// Untimed warm-up iterations per workload.
 const WARMUP: u32 = 1;
 /// Timed iterations per workload; the gate compares the fastest.
 const ITERS: u32 = 3;
 
-/// Table I–V sweep: scanner tables plus the SBR (1 MB) and OBR
-/// amplification measurements.
-fn table_sweep(executor: &Executor) -> (u64, u64) {
-    let scan = Scanner::default();
-    let t1 = scan.scan_table1(executor);
-    let t2 = scan.scan_table2(executor);
-    let t3 = scan.scan_table3(executor);
-    let t4 = sbr_points(&[1], executor);
-    let t5 = table5_measurements(executor);
-    let units = (t1.len() + t2.len() + t3.len() + t4.len() + t5.len()) as u64;
-    let bytes: u64 = t4
-        .iter()
-        .map(|p| p.client_bytes + p.origin_bytes)
-        .sum::<u64>()
-        + t5.iter()
-            .map(|m| m.server_to_bcdn_bytes + m.bcdn_to_fcdn_bytes + m.attacker_bytes)
-            .sum::<u64>();
-    (units, bytes)
-}
-
-/// §IV-C OBR proportionality sweep (factor vs n).
-fn obr_sweep(executor: &Executor) -> (u64, u64) {
-    let points = obr_sweep_points(executor);
-    let bytes = points
-        .iter()
-        .map(|p| p.bcdn_to_fcdn_bytes + p.attacker_bytes)
-        .sum();
-    (points.len() as u64, bytes)
-}
-
-/// The chaos workloads run the default campaign configuration — the
-/// same 13-vendor, 32-round flaky-origin sweep `retry_amp` ships.
-fn perf_chaos_config() -> ChaosConfig {
-    ChaosConfig::default()
-}
-
-/// SBR chaos campaign across all 13 vendors, untraced.
-fn chaos_campaign(executor: &Executor) -> (u64, u64) {
-    let reports = run_sbr_campaign(&perf_chaos_config(), None, executor);
-    let bytes = reports
-        .iter()
-        .map(|r| r.origin.request_bytes + r.origin.response_bytes)
-        .sum();
-    (reports.len() as u64, bytes)
-}
-
-/// Fully traced chaos campaign plus Chrome-trace and metrics export —
-/// the telemetry hot path. "Wire bytes" here are the exported bytes.
-fn telemetry_export(executor: &Executor) -> (u64, u64) {
-    let telemetry = Telemetry::seeded(7);
-    let reports = run_sbr_campaign(&perf_chaos_config(), Some(&telemetry), executor);
-    let trace = telemetry.tracer().chrome_trace_json();
-    let metrics = telemetry.metrics().snapshot().to_jsonl();
-    let units = reports.len() as u64 + telemetry.tracer().span_count() as u64;
-    (units, (trace.len() + metrics.len()) as u64)
-}
-
-/// A workload runs on an executor and reports `(units, wire bytes)`.
-type Workload = fn(&Executor) -> (u64, u64);
-
-fn parse_threads(raw: Option<String>) -> Vec<usize> {
+fn parse_threads(flags: &Flags) -> Vec<usize> {
     let default = Executor::available_parallelism().threads();
-    let spec = raw.unwrap_or_else(|| format!("1,{default}"));
+    let all_cores = format!("1,{default}");
+    let spec = flags.get("--threads").unwrap_or(&all_cores);
     let mut threads: Vec<usize> = spec
         .split(',')
         .filter(|part| !part.trim().is_empty())
-        .map(|part| {
-            let n: usize = part.trim().parse().expect("--threads takes integers");
-            if n == 0 {
-                default
-            } else {
-                n
-            }
+        .map(|part| match part.trim().parse() {
+            Ok(0) => default,
+            Ok(n) => n,
+            Err(_) => flags.fail(&format!("`--threads` takes integers, got `{part}`")),
         })
         .collect();
     threads.dedup();
@@ -119,21 +54,14 @@ fn parse_threads(raw: Option<String>) -> Vec<usize> {
 }
 
 fn main() {
-    let threads = parse_threads(arg_value("--threads"));
-    let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_campaigns.json".to_string());
-    let baseline_path = arg_value("--baseline");
-
-    let workloads: &[(&str, Workload)] = &[
-        ("table_sweep", table_sweep),
-        ("obr_sweep", obr_sweep),
-        ("chaos_campaign", chaos_campaign),
-        ("telemetry_export", telemetry_export),
-    ];
+    let flags = Flags::from_env(&["--threads", "--out", "--baseline"]);
+    let threads = parse_threads(&flags);
+    let out_path = flags.get("--out").unwrap_or("BENCH_campaigns.json");
 
     let mut report = PerfReport::new(threads.clone());
     for &count in &threads {
         let executor = Executor::new(count);
-        for (name, run) in workloads {
+        for (name, run) in WORKLOADS {
             let result = time_workload(name, &executor, WARMUP, ITERS, run);
             println!(
                 "{:>17} @{}t: {:>12} ns  {:>10.1} units/s  {:>14.0} wire-B/s",
@@ -146,44 +74,36 @@ fn main() {
             report.workloads.push(result);
         }
     }
-    for &count in &threads {
-        if count > 1 {
-            if let Some(speedup) = report.speedup("chaos_campaign", count) {
-                println!("chaos_campaign speedup @{count}t: {speedup:.2}x");
-            }
+    for &count in threads.iter().filter(|&&count| count > 1) {
+        if let Some(speedup) = report.speedup("chaos_campaign", count) {
+            println!("chaos_campaign speedup @{count}t: {speedup:.2}x");
         }
     }
 
     write_output(
-        &out_path,
+        out_path,
         &serde_json::to_string_pretty(&report).expect("serializable"),
     );
 
-    if let Some(path) = baseline_path {
-        match std::fs::read_to_string(&path) {
-            Err(err) => {
-                eprintln!("warning: baseline {path} not readable ({err}); perf gate skipped");
-            }
-            Ok(text) => match check_against_baseline(&report, &text, DEFAULT_TOLERANCE) {
-                None => {
-                    eprintln!("warning: baseline {path} is not a perf report; perf gate skipped");
-                }
-                Some(check) => {
-                    for line in &check.lines {
-                        println!("baseline: {line}");
-                    }
-                    if !check.passed() {
-                        for regression in &check.regressions {
-                            eprintln!("perf regression: {regression}");
-                        }
-                        std::process::exit(1);
-                    }
-                    println!(
-                        "perf gate: ok (tolerance +{:.0}%)",
-                        DEFAULT_TOLERANCE * 100.0
-                    );
-                }
-            },
+    if let Some(path) = flags.get("--baseline") {
+        let baseline = std::fs::read_to_string(path);
+        let check =
+            gate_against_baseline(&report, baseline, DEFAULT_TOLERANCE).unwrap_or_else(|err| {
+                eprintln!("perf gate: baseline {path} {err}");
+                std::process::exit(1)
+            });
+        for line in &check.lines {
+            println!("baseline: {line}");
         }
+        if !check.passed() {
+            for regression in &check.regressions {
+                eprintln!("perf regression: {regression}");
+            }
+            std::process::exit(1);
+        }
+        println!(
+            "perf gate: ok (tolerance +{:.0}%)",
+            DEFAULT_TOLERANCE * 100.0
+        );
     }
 }

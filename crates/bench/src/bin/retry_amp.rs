@@ -27,21 +27,21 @@
 
 use rangeamp::chaos::{run_sbr_campaign, ChaosConfig};
 use rangeamp::Telemetry;
-use rangeamp_bench::{arg_value, retry_amp_json, write_output, BenchCli};
+use rangeamp_bench::{retry_amp_json, write_output, BenchCli};
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(&["--trace"]);
     let mut config = ChaosConfig::default();
     if let Some(seed) = cli.seed {
         config.seed = seed;
     }
-    let trace_path = arg_value("--trace");
-    let telemetry = trace_path.as_ref().map(|_| Telemetry::seeded(config.seed));
+    let trace_path = cli.flags.get("--trace");
+    let telemetry = trace_path.map(|_| Telemetry::seeded(config.seed));
 
     let reports = run_sbr_campaign(&config, telemetry.as_ref(), &cli.executor());
     println!("{}", rangeamp_bench::render_retry_amp(&reports));
 
-    if let (Some(path), Some(tel)) = (&trace_path, &telemetry) {
+    if let (Some(path), Some(tel)) = (trace_path, &telemetry) {
         write_output(path, &tel.tracer().chrome_trace_json());
         write_output(
             &format!("{path}.metrics.jsonl"),

@@ -14,7 +14,7 @@ use rangeamp::severity::CostModel;
 use rangeamp_bench::BenchCli;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(&[]);
     let model = CostModel::default();
     let rate = 10; // requests per second
     let hours = 1.0;

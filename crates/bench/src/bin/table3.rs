@@ -9,7 +9,7 @@
 //! ```
 
 fn main() {
-    let cli = rangeamp_bench::BenchCli::parse();
+    let cli = rangeamp_bench::BenchCli::parse(&[]);
     let rows = rangeamp::scanner::Scanner::default().scan_table3(&cli.executor());
     println!("{}", rangeamp_bench::render_table3(&rows));
     println!(

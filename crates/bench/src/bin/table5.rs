@@ -9,7 +9,7 @@
 //! ```
 
 fn main() {
-    let cli = rangeamp_bench::BenchCli::parse();
+    let cli = rangeamp_bench::BenchCli::parse(&[]);
     let measurements = rangeamp_bench::table5_measurements(&cli.executor());
     println!("{}", rangeamp_bench::render_table5(&measurements));
     cli.write_json(&measurements);

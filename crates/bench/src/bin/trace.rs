@@ -21,7 +21,7 @@ use rangeamp::attack::exploited_range_case;
 use rangeamp::chaos::{run_obr_chaos, run_sbr_chaos, ChaosConfig};
 use rangeamp::net::SpanKind;
 use rangeamp::{Telemetry, Testbed, TARGET_HOST, TARGET_PATH};
-use rangeamp_bench::{arg_value, write_output, BenchCli, MB};
+use rangeamp_bench::{write_output, BenchCli, MB};
 use rangeamp_cdn::Vendor;
 use rangeamp_http::Request;
 
@@ -91,9 +91,9 @@ fn traced_sbr_request(telemetry: &Telemetry, out: &mut Vec<String>) {
 }
 
 fn main() {
-    let seed = BenchCli::parse().seed.unwrap_or(7);
-    let out_path = arg_value("--out");
-    let metrics_path = arg_value("--metrics");
+    let cli = BenchCli::parse(&["--out", "--metrics"]);
+    let seed = cli.seed.unwrap_or(7);
+    let out_path = cli.flags.get("--out");
     let telemetry = Telemetry::seeded(seed);
     let mut summary = vec![format!("trace seed={seed}")];
 
@@ -145,11 +145,11 @@ fn main() {
     ));
 
     let trace_json = tracer.chrome_trace_json();
-    match &out_path {
+    match out_path {
         Some(path) => write_output(path, &trace_json),
         None => println!("{trace_json}"),
     }
-    if let Some(path) = &metrics_path {
+    if let Some(path) = cli.flags.get("--metrics") {
         write_output(path, &telemetry.metrics().snapshot().to_jsonl());
     }
 

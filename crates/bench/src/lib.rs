@@ -2,9 +2,9 @@
 //!
 //! Each paper table/figure has a driver function here and a binary under
 //! `src/bin/` that prints it (`cargo run -p rangeamp-bench --release
-//! --bin table4`, etc.). The drivers are also reused by the Criterion
-//! benches and by the `all` binary, which writes machine-readable JSON
-//! into `experiments/`.
+//! --bin table4`, etc.). The drivers are also reused by the `all`
+//! binary, which writes machine-readable JSON into `experiments/`, and
+//! by the `perf` timing harness ([`timing`]).
 //!
 //! Every sweep function takes the [`Executor`] to shard on; pass
 //! `Executor::sequential()` to run on the calling thread. Output is
@@ -15,6 +15,8 @@
 
 pub mod paper;
 pub mod timing;
+
+use std::collections::BTreeMap;
 
 use rangeamp::attack::{
     obr_combos, DroppedGetAttack, FloodExperiment, FloodReport, ObrAttack, ObrMeasurement,
@@ -581,6 +583,83 @@ pub fn h2_rows(executor: &Executor) -> Vec<H2Row> {
     })
 }
 
+/// Walks `args` (without the program name) once and returns each flag's
+/// value, keyed by the flag as written in `known` (`"--threads"`).
+///
+/// Accepts both `--flag value` and `--flag=value`; a repeated flag keeps
+/// its last value. An argument that is not a known flag, or a flag with
+/// no value after it, is an error.
+pub fn parse_flags(
+    args: &[impl AsRef<str>],
+    known: &[&str],
+) -> Result<BTreeMap<String, String>, String> {
+    let mut values = BTreeMap::new();
+    let mut args = args.iter().map(AsRef::as_ref);
+    while let Some(arg) = args.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) => (flag, Some(value)),
+            None => (arg, None),
+        };
+        if !known.contains(&flag) {
+            return Err(format!("unknown flag `{arg}`"));
+        }
+        let value = match inline {
+            Some(value) => value,
+            None => args
+                .next()
+                .filter(|value| !value.starts_with("--"))
+                .ok_or_else(|| format!("`{flag}` needs a value"))?,
+        };
+        values.insert(flag.to_string(), value.to_string());
+    }
+    Ok(values)
+}
+
+/// A binary's command-line flags, parsed by [`parse_flags`] from
+/// `std::env::args`. Any error prints one usage line and exits with
+/// status 2.
+#[derive(Debug, Clone)]
+pub struct Flags {
+    values: BTreeMap<String, String>,
+    usage: String,
+}
+
+impl Flags {
+    /// Parses the process arguments against the `known` flags.
+    pub fn from_env(known: &[&str]) -> Flags {
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        let usage: String = known.iter().map(|f| format!(" [{f} <value>]")).collect();
+        let flags = Flags {
+            values: BTreeMap::new(),
+            usage: format!("usage: {program}{usage}"),
+        };
+        match parse_flags(&args.collect::<Vec<_>>(), known) {
+            Ok(values) => Flags { values, ..flags },
+            Err(err) => flags.fail(&err),
+        }
+    }
+
+    /// The raw value of `flag`, when given.
+    pub fn get(&self, flag: &str) -> Option<&str> {
+        self.values.get(flag).map(String::as_str)
+    }
+
+    /// The value of `flag` parsed as `T`, when given; a value that does
+    /// not parse is a usage error.
+    pub fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        let raw = self.get(flag)?;
+        let bad = |_| self.fail(&format!("`{flag}` takes an integer, got `{raw}`"));
+        Some(raw.parse().unwrap_or_else(bad))
+    }
+
+    /// Prints `err` with the usage line and exits with status 2.
+    pub fn fail(&self, err: &str) -> ! {
+        eprintln!("error: {err}; {}", self.usage);
+        std::process::exit(2)
+    }
+}
+
 /// The flag set shared by every table/figure binary, parsed once.
 ///
 /// All harness binaries accept:
@@ -591,26 +670,30 @@ pub fn h2_rows(executor: &Executor) -> Vec<H2Row> {
 ///   value — see DESIGN.md §8);
 /// * `--seed <n>` — override the campaign seed where the experiment is
 ///   seeded (ignored by the purely deterministic table sweeps).
+///
+/// A binary that takes more flags declares them to [`BenchCli::parse`]
+/// and reads them from [`BenchCli::flags`].
 #[derive(Debug, Clone)]
 pub struct BenchCli {
-    /// `--json <path>`: JSON sidecar output path.
-    pub json: Option<String>,
     /// `--threads <n>` (default 1; 0 = one per core).
     pub threads: usize,
     /// `--seed <n>`: campaign seed override.
     pub seed: Option<u64>,
+    /// Every parsed flag, the shared ones and the binary's `extra` ones.
+    pub flags: Flags,
 }
 
 impl BenchCli {
-    /// Parses the shared flags from `std::env::args`.
-    pub fn parse() -> BenchCli {
-        let threads = arg_value("--threads")
-            .map(|raw| raw.parse().expect("--threads takes an integer"))
-            .unwrap_or(1);
+    /// Parses the shared flags plus the binary's `extra` flags from
+    /// `std::env::args`.
+    pub fn parse(extra: &[&str]) -> BenchCli {
+        let mut known = vec!["--json", "--threads", "--seed"];
+        known.extend_from_slice(extra);
+        let flags = Flags::from_env(&known);
         BenchCli {
-            json: arg_value("--json"),
-            threads,
-            seed: arg_value("--seed").map(|raw| raw.parse().expect("--seed takes an integer")),
+            threads: flags.parsed("--threads").unwrap_or(1),
+            seed: flags.parsed("--seed"),
+            flags,
         }
     }
 
@@ -628,27 +711,10 @@ impl BenchCli {
     /// The printed text output is unaffected, so golden outputs stay
     /// byte-identical.
     pub fn write_json<T: Serialize>(&self, value: &T) {
-        if let Some(path) = &self.json {
+        if let Some(path) = self.flags.get("--json") {
             write_json(path, value);
         }
     }
-}
-
-/// Returns the value following `flag` on the command line, accepting
-/// both `--flag value` and `--flag=value` spellings.
-pub fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == flag {
-            return args.next();
-        }
-        if let Some(rest) = arg.strip_prefix(flag) {
-            if let Some(value) = rest.strip_prefix('=') {
-                return Some(value.to_string());
-            }
-        }
-    }
-    None
 }
 
 /// Writes `value` to `path` as pretty JSON (see [`write_output`]).
@@ -689,6 +755,36 @@ mod tests {
         let points = sbr_points(&[1], &Executor::sequential());
         let table = render_table4(&points);
         assert_eq!(table.len(), 13);
+    }
+
+    #[test]
+    fn parse_flags_accepts_both_spellings() {
+        let known = ["--json", "--threads"];
+        let flags =
+            parse_flags(&["--threads", "8", "--json=out.json"], &known).expect("known flags parse");
+        assert_eq!(flags["--threads"], "8");
+        assert_eq!(flags["--json"], "out.json");
+        assert_eq!(flags.len(), 2);
+    }
+
+    #[test]
+    fn parse_flags_rejects_unknown_and_valueless_flags() {
+        let known = ["--threads", "--cases"];
+        assert!(parse_flags(&["--case", "5"], &known).is_err());
+        assert!(parse_flags(&["--thread=8"], &known).is_err());
+        assert!(parse_flags(&["stray"], &known).is_err());
+        assert!(parse_flags(&["--threads", "2", "--cases"], &known).is_err());
+        assert!(parse_flags(&["--cases", "--threads", "2"], &known).is_err());
+    }
+
+    #[test]
+    fn parse_flags_returns_a_declared_extra() {
+        let known = ["--json", "--threads", "--seed", "--corpus-dir"];
+        let flags = parse_flags(&["--seed", "42", "--corpus-dir", "/tmp/c"], &known)
+            .expect("declared extra parses");
+        assert_eq!(flags["--corpus-dir"], "/tmp/c");
+        assert_eq!(flags["--seed"], "42");
+        assert!(!flags.contains_key("--threads"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Shared timing harness for the `perf` benchmark binary: workload
-//! timing over warmup + measured iterations, the stable
-//! `BENCH_campaigns.json` schema, and the committed-baseline regression
-//! check used by CI.
+//! Shared timing harness for the `perf` benchmark binary: the timed
+//! campaign [`WORKLOADS`], workload timing over warmup + measured
+//! iterations, the stable `BENCH_campaigns.json` schema, and the
+//! committed-baseline regression gate used by CI.
 //!
 //! # `BENCH_*.json` schema (`rangeamp-bench-perf/1`)
 //!
@@ -47,8 +47,13 @@
 
 use std::time::Instant;
 
+use rangeamp::chaos::{run_sbr_campaign, ChaosConfig};
 use rangeamp::executor::Executor;
+use rangeamp::scanner::Scanner;
+use rangeamp::Telemetry;
 use serde::Serialize;
+
+use crate::{fig7_reports, obr_sweep_points, sbr_points, table5_measurements};
 
 /// Schema identifier written into every perf report.
 pub const PERF_SCHEMA: &str = "rangeamp-bench-perf/1";
@@ -56,6 +61,82 @@ pub const PERF_SCHEMA: &str = "rangeamp-bench-perf/1";
 /// Default regression tolerance: fail when a workload's best wall time
 /// grows by more than 15% over the committed baseline.
 pub const DEFAULT_TOLERANCE: f64 = 0.15;
+
+/// A workload runs on an executor and reports `(units, wire bytes)`.
+pub type Workload = fn(&Executor) -> (u64, u64);
+
+/// The campaigns `perf` times, in report order: each name with its run.
+pub const WORKLOADS: &[(&str, Workload)] = &[
+    ("table_sweep", table_sweep),
+    ("obr_sweep", obr_sweep),
+    ("chaos_campaign", chaos_campaign),
+    ("telemetry_export", telemetry_export),
+    ("fig7_flood", fig7_flood),
+];
+
+/// Table I–V sweep: scanner tables plus the SBR (1 MB) and OBR
+/// amplification measurements.
+fn table_sweep(executor: &Executor) -> (u64, u64) {
+    let scan = Scanner::default();
+    let t1 = scan.scan_table1(executor);
+    let t2 = scan.scan_table2(executor);
+    let t3 = scan.scan_table3(executor);
+    let t4 = sbr_points(&[1], executor);
+    let t5 = table5_measurements(executor);
+    let units = (t1.len() + t2.len() + t3.len() + t4.len() + t5.len()) as u64;
+    let bytes: u64 = t4
+        .iter()
+        .map(|p| p.client_bytes + p.origin_bytes)
+        .sum::<u64>()
+        + t5.iter()
+            .map(|m| m.server_to_bcdn_bytes + m.bcdn_to_fcdn_bytes + m.attacker_bytes)
+            .sum::<u64>();
+    (units, bytes)
+}
+
+/// §IV-C OBR proportionality sweep (factor vs n).
+fn obr_sweep(executor: &Executor) -> (u64, u64) {
+    let points = obr_sweep_points(executor);
+    let bytes = points
+        .iter()
+        .map(|p| p.bcdn_to_fcdn_bytes + p.attacker_bytes)
+        .sum();
+    (points.len() as u64, bytes)
+}
+
+/// SBR chaos campaign across all 13 vendors, untraced — the same
+/// default 32-round flaky-origin sweep `retry_amp` ships.
+fn chaos_campaign(executor: &Executor) -> (u64, u64) {
+    let reports = run_sbr_campaign(&ChaosConfig::default(), None, executor);
+    let bytes = reports
+        .iter()
+        .map(|r| r.origin.request_bytes + r.origin.response_bytes)
+        .sum();
+    (reports.len() as u64, bytes)
+}
+
+/// Fully traced chaos campaign plus Chrome-trace and metrics export —
+/// the telemetry hot path. "Wire bytes" here are the exported bytes.
+fn telemetry_export(executor: &Executor) -> (u64, u64) {
+    let telemetry = Telemetry::seeded(7);
+    let reports = run_sbr_campaign(&ChaosConfig::default(), Some(&telemetry), executor);
+    let trace = telemetry.tracer().chrome_trace_json();
+    let metrics = telemetry.metrics().snapshot().to_jsonl();
+    let units = reports.len() as u64 + telemetry.tracer().span_count() as u64;
+    (units, (trace.len() + metrics.len()) as u64)
+}
+
+/// Fig 7 flood sweep (m = 1..=15) through the flow simulator; one unit
+/// per report, bytes are the origin plus client bytes of one request
+/// at each m.
+fn fig7_flood(executor: &Executor) -> (u64, u64) {
+    let reports = fig7_reports(executor);
+    let bytes = reports
+        .iter()
+        .map(|r| r.origin_bytes_per_request + r.client_bytes_per_request)
+        .sum();
+    (reports.len() as u64, bytes)
+}
 
 /// One timed workload at one thread count.
 #[derive(Debug, Clone, Serialize)]
@@ -179,7 +260,7 @@ impl BaselineCheck {
 /// Joins entries on `(name, threads)`; a workload regresses when its
 /// best wall time exceeds the baseline's by more than `tolerance`
 /// (0.15 = +15%). Returns `None` when the baseline cannot be parsed as
-/// a perf report (the caller should warn and skip the gate).
+/// a perf report ([`gate_against_baseline`] turns that into a failure).
 pub fn check_against_baseline(
     current: &PerfReport,
     baseline_json: &str,
@@ -221,6 +302,19 @@ pub fn check_against_baseline(
         ));
     }
     Some(BaselineCheck { lines, regressions })
+}
+
+/// The perf gate's decision on a `--baseline` file's contents. It fails
+/// closed: a baseline that could not be read, or that is not a perf
+/// report, is an error, never a skipped gate.
+pub fn gate_against_baseline(
+    current: &PerfReport,
+    baseline: std::io::Result<String>,
+    tolerance: f64,
+) -> Result<BaselineCheck, String> {
+    let text = baseline.map_err(|err| format!("is not readable ({err})"))?;
+    check_against_baseline(current, &text, tolerance)
+        .ok_or_else(|| "is not a perf report".to_string())
 }
 
 /// A baseline workload entry as read back from disk.
@@ -304,10 +398,7 @@ pub mod json {
         /// The value as a non-negative integer (rounds through `f64`,
         /// exact for the magnitudes the perf schema stores).
         pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Number(n) if *n >= 0.0 => Some(*n as u64),
-                _ => None,
-            }
+            self.as_f64().filter(|n| *n >= 0.0).map(|n| n as u64)
         }
 
         /// The value as a float.
@@ -322,159 +413,143 @@ pub mod json {
     /// Parses one JSON document; `None` on any syntax error or
     /// trailing garbage.
     pub fn parse(text: &str) -> Option<Value> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        (pos == bytes.len()).then_some(value)
+        let mut parser = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        let value = parser.value()?;
+        parser.skip_ws();
+        (parser.pos == parser.bytes.len()).then_some(value)
     }
 
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
+    struct Parser<'a> {
+        bytes: &'a [u8],
+        pos: usize,
     }
 
-    fn eat(bytes: &[u8], pos: &mut usize, byte: u8) -> Option<()> {
-        skip_ws(bytes, pos);
-        if *pos < bytes.len() && bytes[*pos] == byte {
-            *pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Option<Value> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos)? {
-            b'{' => parse_object(bytes, pos),
-            b'[' => parse_array(bytes, pos),
-            b'"' => parse_string(bytes, pos).map(Value::String),
-            b't' => parse_literal(bytes, pos, b"true", Value::Bool(true)),
-            b'f' => parse_literal(bytes, pos, b"false", Value::Bool(false)),
-            b'n' => parse_literal(bytes, pos, b"null", Value::Null),
-            _ => parse_number(bytes, pos),
-        }
-    }
-
-    fn parse_literal(bytes: &[u8], pos: &mut usize, word: &[u8], value: Value) -> Option<Value> {
-        if bytes[*pos..].starts_with(word) {
-            *pos += word.len();
-            Some(value)
-        } else {
-            None
-        }
-    }
-
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Option<Value> {
-        eat(bytes, pos, b'{')?;
-        let mut map = BTreeMap::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Some(Value::Object(map));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            eat(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
-            map.insert(key, value);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos)? {
-                b',' => *pos += 1,
-                b'}' => {
-                    *pos += 1;
-                    return Some(Value::Object(map));
-                }
-                _ => return None,
+    impl Parser<'_> {
+        fn skip_ws(&mut self) {
+            while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                self.pos += 1;
             }
         }
-    }
 
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Option<Value> {
-        eat(bytes, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Some(Value::Array(items));
+        /// Consumes the next byte, whitespace included.
+        fn byte(&mut self) -> Option<u8> {
+            let byte = *self.bytes.get(self.pos)?;
+            self.pos += 1;
+            Some(byte)
         }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos)? {
-                b',' => *pos += 1,
-                b']' => {
-                    *pos += 1;
-                    return Some(Value::Array(items));
+
+        /// Consumes the next byte after any whitespace.
+        fn token(&mut self) -> Option<u8> {
+            self.skip_ws();
+            self.byte()
+        }
+
+        /// Consumes `byte` after any whitespace, or fails.
+        fn expect(&mut self, byte: u8) -> Option<()> {
+            (self.token()? == byte).then_some(())
+        }
+
+        fn value(&mut self) -> Option<Value> {
+            match self.token()? {
+                b'{' => {
+                    let mut map = BTreeMap::new();
+                    self.items(b'}', |p| {
+                        p.expect(b'"')?;
+                        let key = p.string()?;
+                        p.expect(b':')?;
+                        map.insert(key, p.value()?);
+                        Some(())
+                    })?;
+                    Some(Value::Object(map))
                 }
-                _ => return None,
+                b'[' => {
+                    let mut items = Vec::new();
+                    self.items(b']', |p| {
+                        items.push(p.value()?);
+                        Some(())
+                    })?;
+                    Some(Value::Array(items))
+                }
+                b'"' => self.string().map(Value::String),
+                b't' => self.literal(b"rue", Value::Bool(true)),
+                b'f' => self.literal(b"alse", Value::Bool(false)),
+                b'n' => self.literal(b"ull", Value::Null),
+                _ => self.number(self.pos - 1),
             }
         }
-    }
 
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
-        if bytes.get(*pos) != Some(&b'"') {
-            return None;
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos)? {
-                b'"' => {
-                    *pos += 1;
-                    return Some(out);
+        /// Parses `item (',' item)* close` or a bare `close`, the opening
+        /// bracket already consumed.
+        fn items(
+            &mut self,
+            close: u8,
+            mut item: impl FnMut(&mut Self) -> Option<()>,
+        ) -> Option<()> {
+            self.skip_ws();
+            if self.bytes.get(self.pos) == Some(&close) {
+                self.pos += 1;
+                return Some(());
+            }
+            loop {
+                item(self)?;
+                match self.token()? {
+                    b',' => {}
+                    byte if byte == close => return Some(()),
+                    _ => return None,
                 }
-                b'\\' => {
-                    *pos += 1;
-                    match bytes.get(*pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
+            }
+        }
+
+        fn literal(&mut self, rest: &[u8], value: Value) -> Option<Value> {
+            let matched = self.bytes[self.pos..].starts_with(rest);
+            self.pos += rest.len();
+            matched.then_some(value)
+        }
+
+        /// The rest of a string literal whose opening quote is consumed.
+        fn string(&mut self) -> Option<String> {
+            let mut out = Vec::new();
+            loop {
+                let unescaped = match self.byte()? {
+                    b'"' => return String::from_utf8(out).ok(),
+                    b'\\' => match self.byte()? {
+                        escape @ (b'"' | b'\\' | b'/') => escape as char,
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
                         b'u' => {
-                            let hex = bytes.get(*pos + 1..*pos + 5)?;
+                            let hex = self.bytes.get(self.pos..self.pos + 4)?;
+                            self.pos += 4;
                             let code =
                                 u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            *pos += 4;
+                            char::from_u32(code).unwrap_or('\u{fffd}')
                         }
                         _ => return None,
+                    },
+                    byte => {
+                        out.push(byte);
+                        continue;
                     }
-                    *pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&bytes[*pos..]).ok()?;
-                    let c = rest.chars().next()?;
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
+                };
+                out.extend_from_slice(unescaped.encode_utf8(&mut [0; 4]).as_bytes());
             }
         }
-    }
 
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Option<Value> {
-        let start = *pos;
-        if bytes.get(*pos) == Some(&b'-') {
-            *pos += 1;
+        fn number(&mut self, start: usize) -> Option<Value> {
+            while matches!(
+                self.bytes.get(self.pos),
+                Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+            ) {
+                self.pos += 1;
+            }
+            let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
+            text.parse().ok().map(Value::Number)
         }
-        while *pos < bytes.len()
-            && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        {
-            *pos += 1;
-        }
-        std::str::from_utf8(&bytes[start..*pos])
-            .ok()?
-            .parse::<f64>()
-            .ok()
-            .map(Value::Number)
     }
 }
 
@@ -567,6 +642,19 @@ mod tests {
     }
 
     #[test]
+    fn gate_fails_closed_on_unreadable_or_unparseable_baseline() {
+        let current = PerfReport::new(vec![1]);
+        let missing = std::io::Error::new(std::io::ErrorKind::NotFound, "no such file");
+        assert!(gate_against_baseline(&current, Err(missing), DEFAULT_TOLERANCE).is_err());
+        let corrupt = Ok("{\"workloads\": [".to_string());
+        assert!(gate_against_baseline(&current, corrupt, DEFAULT_TOLERANCE).is_err());
+        let empty = serde_json::to_string_pretty(&current).expect("serializable");
+        let check = gate_against_baseline(&current, Ok(empty), DEFAULT_TOLERANCE)
+            .expect("a perf report gates");
+        assert!(check.passed());
+    }
+
+    #[test]
     fn json_parser_covers_the_value_grammar() {
         let value = json::parse(
             r#"{"a": [1, -2.5, 1e3], "s": "x\n\"yA", "t": true, "f": false, "n": null}"#,
@@ -583,6 +671,10 @@ mod tests {
         assert!(json::parse("{").is_none());
         assert!(json::parse("[1,]").is_none());
         assert!(json::parse("{} trailing").is_none());
+        assert_eq!(
+            json::parse(r#""\u0041\/\t""#),
+            Some(json::Value::String("A/\t".to_string()))
+        );
     }
 
     #[test]
@@ -598,5 +690,16 @@ mod tests {
         assert_eq!(result.simulated_wire_bytes, 6);
         assert!(result.wall_ns > 0);
         assert!(result.units_per_sec > 0.0);
+    }
+
+    #[test]
+    fn fig7_flood_reports_one_unit_per_attack_rate() {
+        let (name, run) = WORKLOADS
+            .iter()
+            .find(|(name, _)| *name == "fig7_flood")
+            .expect("perf times fig7_flood");
+        let result = time_workload(name, &Executor::new(2), 0, 1, run);
+        assert_eq!(result.units, 15);
+        assert!(result.simulated_wire_bytes > 0);
     }
 }
